@@ -54,7 +54,6 @@ func run() int {
 		seed      = flag.Int64("seed", 1, "random seed")
 		moves     = flag.Int("moves", 100, "SA moves per temperature")
 		temps     = flag.Int("temps", 100, "maximum SA temperature steps")
-		workers   = flag.Int("workers", 0, "congestion evaluation workers (0 = all CPUs, 1 = sequential; results are identical)")
 		judge     = flag.Bool("judge", false, "also score the result with the 10x10 um judging model")
 		asJSON    = flag.Bool("json", false, "emit the floorplan as JSON on stdout")
 		draw      = flag.Bool("draw", false, "render the placement as ASCII art")
@@ -64,7 +63,7 @@ func run() int {
 		ckptPath  = flag.String("checkpoint", "", "write a resumable snapshot to this file periodically and on interrupt")
 		ckptEvery = flag.Int("checkpoint-every", 0, "temperature steps between snapshots (default 10 when -checkpoint is set)")
 		resume    = flag.String("resume", "", "continue from a snapshot written by -checkpoint")
-		postm     = flag.String("postmortem", "", "arm a flight recorder that dumps a postmortem JSON file here on panic, interrupt, deadline or SIGQUIT")
+		postm     = flag.String("postmortem", "", "arm a flight recorder that dumps a postmortem JSON file here on interrupt, deadline, stall or SIGQUIT")
 		stall     = flag.Duration("stall-timeout", 0, "cancel the run when it makes no annealing progress for this long, reporting the best floorplan so far (0 disables)")
 		version   = flag.Bool("version", false, "print the build version and exit")
 	)
@@ -90,7 +89,6 @@ func run() int {
 		Alpha: *alpha, Beta: *beta, Gamma: *gamma,
 		Seed:         *seed,
 		MovesPerTemp: *moves, MaxTemps: *temps,
-		Workers:         *workers,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 	}

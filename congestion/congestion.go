@@ -51,10 +51,6 @@ type Options struct {
 	// TopFraction is the most-congested fraction averaged into Score
 	// (default 0.10).
 	TopFraction float64
-	// Workers is the parallelism of the IR model's evaluation engine:
-	// 0 uses GOMAXPROCS, 1 forces sequential evaluation. Results are
-	// bit-identical for every setting. Ignored by the fixed model.
-	Workers int
 	// Obs, when non-nil, receives the IR evaluation engine's metrics
 	// (stage timings, Simpson-memo hit/miss counters, grid dimensions).
 	// Telemetry never changes results. Ignored by the fixed model.
@@ -172,7 +168,7 @@ func EstimateIR(chipW, chipH float64, nets []Net, opts Options) (*Map, error) {
 }
 
 // EstimateIRContext is EstimateIR under a context: the evaluation
-// engine checks the context at every shard boundary, and a canceled
+// engine checks the context every 64 nets, and a canceled
 // estimate returns the context's error (context.Canceled or
 // context.DeadlineExceeded) instead of a partial map.
 func EstimateIRContext(ctx context.Context, chipW, chipH float64, nets []Net, opts Options) (*Map, error) {
@@ -183,7 +179,7 @@ func EstimateIRContext(ctx context.Context, chipW, chipH float64, nets []Net, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := core.Model{Pitch: opts.pitch(), Exact: opts.Exact, TopFraction: opts.TopFraction, Workers: opts.Workers, Obs: opts.Obs, Spans: opts.Spans}
+	m := core.Model{Pitch: opts.pitch(), Exact: opts.Exact, TopFraction: opts.TopFraction, Obs: opts.Obs, Spans: opts.Spans}
 	if ctx.Done() != nil {
 		m.Ctx = ctx
 	}

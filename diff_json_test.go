@@ -35,10 +35,7 @@ func TestWriteDiffReportJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := diff.Compare(chip, nets, diff.Opts{
-			Model:   core.Model{Pitch: diff.BenchPitch(name)},
-			Workers: []int{1, 4},
-		})
+		r, err := diff.Compare(chip, nets, diff.Opts{Model: core.Model{Pitch: diff.BenchPitch(name)}})
 		rp.AddBench(name, r, err)
 	}
 	if len(rp.Failures) > 0 {

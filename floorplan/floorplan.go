@@ -232,17 +232,11 @@ type Options struct {
 	// (sequence pair, covering non-slicing packings; soft modules pack
 	// at nominal dimensions there).
 	Representation string
-	// Workers is the parallelism of the congestion evaluation engine:
-	// 0 uses GOMAXPROCS, 1 forces sequential evaluation. Congestion
-	// scores — and hence whole runs — are bit-identical for every
-	// setting. Only the IR-grid models parallelize today.
-	Workers int
 	// FullEval disables incremental congestion evaluation and scores
 	// every SA move from scratch. The incremental engine (the default
 	// when the model supports it) is bit-identical to full
 	// evaluation, so this trades only throughput — useful for
-	// apples-to-apples timing baselines and for exercising the full
-	// evaluator's parallel path under test.
+	// apples-to-apples timing baselines.
 	FullEval bool
 	// Obs, when non-nil, receives live run metrics from every layer:
 	// annealer move/temperature instruments, per-evaluation cost
@@ -263,8 +257,8 @@ type Options struct {
 	Spans *telemetry.Spans
 	// Recorder, when non-nil, is a black-box flight recorder holding
 	// the last N move/temperature/eval events. Together with
-	// PostmortemPath it dumps a postmortem JSON file on shard panics
-	// and cancellation (CLIs additionally dump on SIGQUIT).
+	// PostmortemPath it dumps a postmortem JSON file on cancellation
+	// and run errors (CLIs additionally dump on SIGQUIT).
 	Recorder *telemetry.Recorder
 	// Status, when non-nil, receives the live run-status feed (step,
 	// temps, acceptance, best cost, moves/sec, ETA) served by the
@@ -409,7 +403,7 @@ func Run(c *Circuit, opts Options) (*Result, error) {
 
 // RunContext floorplans the circuit under a context. Cancellation is
 // cooperative: the annealer checks the context at every proposed move
-// and the IR-grid estimator at every evaluation shard boundary. On
+// and the IR-grid estimator every 64 nets inside an evaluation. On
 // cancellation RunContext returns the best result found so far
 // together with ErrCanceled (or ErrDeadline when the context's
 // deadline expired) — the partial Result is valid and fully evaluated
@@ -464,7 +458,6 @@ func runContext(ctx context.Context, c *Circuit, opts Options, snap *Snapshot) (
 		AllowRotate:     !opts.NoRotate,
 		Wire:            wl.Model(opts.WirelengthModel),
 		Representation:  opts.Representation,
-		Workers:         opts.Workers,
 		FullEval:        opts.FullEval,
 		Obs:             opts.Obs,
 		Trace:           opts.Trace,

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,8 +193,8 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelNoGoroutineLeak cancels runs that use parallel congestion
-// evaluation and checks the process goroutine count settles back.
+// TestCancelNoGoroutineLeak cancels runs and checks the process
+// goroutine count settles back.
 func TestCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -203,7 +202,6 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 		opts := demoOpts()
 		opts.MaxTemps = 1 << 20
 		opts.MovesPerTemp = 1000
-		opts.Workers = 4
 		if _, err := RunContext(ctx, demoCircuit(), opts); !errors.Is(err, ErrDeadline) && !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v", err)
 		}
@@ -344,55 +342,6 @@ func TestRunBestContextCancel(t *testing.T) {
 	if res == nil || res.Best == nil || res.Best.Area <= 0 {
 		t.Fatalf("best-so-far result invalid: %+v", res)
 	}
-}
-
-// TestPipelineSurvivesShardPanics drives the whole floorplanning
-// pipeline with injected evaluation-shard crashes and requires the
-// final floorplan to be bit-identical to an unfaulted run —
-// differential validation that panic recovery never corrupts a score.
-func TestPipelineSurvivesShardPanics(t *testing.T) {
-	c, err := Benchmark("apte")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		Alpha: 0.4, Beta: 0.2, Gamma: 0.4,
-		Congestion:   Congestion{Model: ModelIRGrid, Pitch: 30},
-		Seed:         3,
-		MovesPerTemp: 20, MaxTemps: 10,
-		// The shard fault point lives in the full evaluator's parallel
-		// path; the incremental move scorer (the default) is
-		// single-threaded and would never reach it.
-		FullEval: true,
-	}
-	want, err := Run(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash every 40th shard execution for the whole run.
-	var fired, crashed atomic.Int64
-	faultinject.Set(func(p faultinject.Point, _ int) error {
-		if p != faultinject.EvalShard {
-			return nil
-		}
-		if fired.Add(1)%40 == 0 {
-			crashed.Add(1)
-			panic("injected shard crash")
-		}
-		return nil
-	})
-	defer faultinject.Set(nil)
-	got, err := Run(c, opts)
-	faultinject.Set(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashed.Load() == 0 {
-		t.Fatal("fault injection never fired; the test exercised nothing")
-	}
-	sameResult(t, got, want)
-	sameCongestionMap(t, got, want, opts.Congestion)
 }
 
 // TestCheckpointWriteFaultRunContinues injects checkpoint I/O failures

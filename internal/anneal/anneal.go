@@ -316,7 +316,7 @@ func Run(ctx context.Context, cfg Config, initial State) (State, Stats, error) {
 			}
 			next := cur.Neighbor(rng)
 			// A cancellation can interrupt the evaluation inside
-			// Neighbor (estimators bail at shard boundaries), so the
+			// Neighbor (estimators bail out mid-evaluation), so the
 			// cost may be partial — re-check before acting on it.
 			if err := ctxErr(ctx); err != nil {
 				spStep.End()

@@ -93,10 +93,11 @@ type sweepMemo struct {
 	cells int // total cached int64s, for the memory bound
 }
 
-// memoMaxCells caps the memory held by cached vectors (16 MiB of
-// int64s). Exceeding it drops the whole index and starts over: vectors
-// already aliased by live net sides remain valid because their storage
-// is never recycled, only unreferenced.
+// memoMaxCells caps the int64 cells held by cached vectors: 1<<26
+// cells is 512 MiB. The per-entry []int32 keys and the index are not
+// counted against it. Exceeding it drops the whole index and starts
+// over: vectors already aliased by live net sides remain valid because
+// their storage is never recycled, only unreferenced.
 const memoMaxCells = 1 << 26
 
 //irlint:hot
@@ -248,8 +249,6 @@ type DeltaEvaluator struct {
 }
 
 // NewDeltaEvaluator returns an incremental move scorer for the model.
-// The delta engine is single-threaded: per-move work is far below the
-// parallel fan-out break-even, so Model.Workers is ignored.
 func (m Model) NewDeltaEvaluator() *DeltaEvaluator {
 	if m.Pitch <= 0 {
 		panic("core: Pitch must be positive")
@@ -265,7 +264,7 @@ func (m Model) NewDeltaEvaluator() *DeltaEvaluator {
 // NewMoveScorer implements the optional incremental-evaluation hook of
 // higher layers (fplan detects it on the estimator): the returned value
 // scores successive SA states sharing most of their nets. The `any`
-// return keeps core free of pipeline imports, like WithWorkers.
+// return keeps core free of pipeline imports, like WithObserver.
 func (m Model) NewMoveScorer() any { return m.NewDeltaEvaluator() }
 
 // Model returns the engine's configuration.

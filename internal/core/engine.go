@@ -1,52 +1,27 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"irgrid/internal/faultinject"
 	"irgrid/internal/geom"
 	"irgrid/internal/netlist"
 	"irgrid/internal/nmath"
 	"irgrid/internal/obs"
 )
 
-// degradeAfter is the number of recovered shard panics after which an
-// Evaluator stops trusting parallel execution and pins itself to the
-// sequential path (graceful degradation: correctness over throughput).
-const degradeAfter = 3
-
-// Shard geometry. The per-net accumulation is partitioned into shards
-// whose boundaries depend only on the net count — never on the worker
-// count — and the per-shard partial grids are reduced in shard order.
-// That fixes the floating-point summation tree, so Evaluate is
-// bit-identical for every Workers setting (TestEvaluateParallelDeterminism).
-const (
-	// shardGrain is the target number of nets per shard; it sets the
-	// reduction tree's fan-in and bounds the bookkeeping overhead the
-	// sequential path pays for determinism.
-	shardGrain = 64
-	// maxShards caps the shard count (and with it the number of
-	// partial grids held and the useful worker count).
-	maxShards = 16
-	// parallelMinNets is the net count below which Evaluate stays
-	// sequential: small inputs lose more to goroutine fan-out than
-	// they gain from extra cores.
-	parallelMinNets = 256
-)
+// ctxStride is the number of nets Evaluate folds between two checks of
+// Model.Ctx.
+const ctxStride = 64
 
 // Evaluator is a reusable Irregular-Grid evaluation engine. It owns
 // every buffer an evaluation needs — the cutting-line coordinate
-// buffers, the probability grid, per-worker span scratch and per-edge
-// memo caches, the shared ln-factorial table and the top-score
-// selection scratch — so holding one across calls makes a steady-state
-// evaluation allocation-free. With Model.Workers (or GOMAXPROCS) above
-// one and enough nets, the per-net accumulation is sharded across
-// worker goroutines.
+// buffers, the probability grid, the span scratch and per-edge memo
+// cache, the ln-factorial table and the top-score selection scratch —
+// so holding one across calls makes a steady-state evaluation
+// allocation-free. Every net is folded straight into one fixed-point
+// accumulator; integer sums are order-independent, so the result does
+// not depend on the order the nets are visited in.
 //
 // An Evaluator is not safe for concurrent use; give each goroutine its
 // own (or use the pooled Model.Evaluate/Model.Score wrappers, which
@@ -54,33 +29,13 @@ const (
 type Evaluator struct {
 	m Model
 
-	// lf is the shared ln-factorial table. It is pre-grown past every
-	// unit-lattice dimension reachable on the current chip before
-	// worker fan-out, so concurrent workers only ever read it.
-	lf nmath.LogFact
-
-	xs, ys   []float64    // cutting-line coordinate buffers
-	mp       Map          // the arena-backed result map
-	acc      []int64      // fixed-point accumulation grid (shard 0 target)
-	prob     []float64    // backing for mp.Prob, converted from acc
-	partials [][]int64    // per-shard partial grids (shard 0 writes acc)
-	workers  []*evaluator // per-worker scratch + memo
-	cells    []topCell    // top-score selection scratch
-	slots    []*launchSlot
-
-	nextShard atomic.Int64
-	wg        sync.WaitGroup
-
-	// Shard-panic bookkeeping. A panic inside a shard (a worker crash)
-	// is recovered, the shard's partial grid is zeroed and recomputed
-	// sequentially, and after degradeAfter recovered panics the engine
-	// degrades to single-worker mode for the rest of its lifetime. A
-	// panic that repeats on the sequential retry is deterministic — a
-	// genuine invariant violation — and is re-raised.
-	failMu      sync.Mutex
-	failed      []int // shard indices that panicked this Evaluate
-	shardPanics int   // lifetime recovered panic count
-	degraded    bool
+	lf     nmath.LogFact // ln-factorial table, shared with ev
+	xs, ys []float64     // cutting-line coordinate buffers
+	mp     Map           // the arena-backed result map
+	acc    []int64       // fixed-point accumulation grid
+	prob   []float64     // backing for mp.Prob, converted from acc
+	ev     evaluator     // per-net scratch + edge-sum memo
+	cells  []topCell     // top-score selection scratch
 
 	// instr is the engine's resolved telemetry, nil when Model.Obs is
 	// nil; every instrumentation point is guarded by one nil check.
@@ -90,52 +45,33 @@ type Evaluator struct {
 // evalInstr holds the engine's resolved registry instruments so the
 // hot path never performs a registry lookup.
 type evalInstr struct {
-	calls       *obs.Counter
-	nets        *obs.Counter
-	axisNs      *obs.Counter
-	accumNs     *obs.Counter
-	topNs       *obs.Counter
-	memoHit     *obs.Counter
-	memoMiss    *obs.Counter
-	exactLanes  *obs.Counter
-	cols        *obs.Gauge
-	rows        *obs.Gauge
-	workersG    *obs.Gauge
-	evalNs      *obs.Histogram
-	shardPanics *obs.Counter
-	degraded    *obs.Counter
-	workerNs    []*obs.Counter // per-worker busy time, grown on demand
-	reg         *obs.Registry
+	calls      *obs.Counter
+	nets       *obs.Counter
+	axisNs     *obs.Counter
+	accumNs    *obs.Counter
+	topNs      *obs.Counter
+	memoHit    *obs.Counter
+	memoMiss   *obs.Counter
+	exactLanes *obs.Counter
+	cols       *obs.Gauge
+	rows       *obs.Gauge
+	evalNs     *obs.Histogram
 }
 
 func newEvalInstr(reg *obs.Registry) *evalInstr {
 	return &evalInstr{
-		calls:       reg.Counter("eval_calls_total"),
-		nets:        reg.Counter("eval_nets_total"),
-		axisNs:      reg.Counter("eval_axis_ns_total"),
-		accumNs:     reg.Counter("eval_accumulate_ns_total"),
-		topNs:       reg.Counter("eval_topscore_ns_total"),
-		memoHit:     reg.Counter("eval_simpson_memo_hits_total"),
-		memoMiss:    reg.Counter("eval_simpson_memo_misses_total"),
-		exactLanes:  reg.Counter("eval_exact_lanes_total"),
-		cols:        reg.Gauge("eval_grid_cols"),
-		rows:        reg.Gauge("eval_grid_rows"),
-		workersG:    reg.Gauge("eval_workers"),
-		evalNs:      reg.Histogram("eval_ns", obs.DurationBuckets),
-		shardPanics: reg.Counter("eval_shard_panics"),
-		degraded:    reg.Counter("eval_degraded"),
-		reg:         reg,
+		calls:      reg.Counter("eval_calls_total"),
+		nets:       reg.Counter("eval_nets_total"),
+		axisNs:     reg.Counter("eval_axis_ns_total"),
+		accumNs:    reg.Counter("eval_accumulate_ns_total"),
+		topNs:      reg.Counter("eval_topscore_ns_total"),
+		memoHit:    reg.Counter("eval_simpson_memo_hits_total"),
+		memoMiss:   reg.Counter("eval_simpson_memo_misses_total"),
+		exactLanes: reg.Counter("eval_exact_lanes_total"),
+		cols:       reg.Gauge("eval_grid_cols"),
+		rows:       reg.Gauge("eval_grid_rows"),
+		evalNs:     reg.Histogram("eval_ns", obs.DurationBuckets),
 	}
-}
-
-// workerBusy returns the busy-time counter of worker i, labeled in
-// Prometheus exposition syntax.
-func (in *evalInstr) workerBusy(i int) *obs.Counter {
-	for len(in.workerNs) <= i {
-		name := `eval_worker_busy_ns_total{worker="` + strconv.Itoa(len(in.workerNs)) + `"}`
-		in.workerNs = append(in.workerNs, in.reg.Counter(name))
-	}
-	return in.workerNs[i]
 }
 
 // NewEvaluator returns a reusable evaluation engine for the model.
@@ -144,6 +80,7 @@ func (m Model) NewEvaluator() *Evaluator {
 		panic("core: Pitch must be positive")
 	}
 	e := &Evaluator{m: m}
+	e.ev = evaluator{m: m, lf: &e.lf, mp: &e.mp, memo: make(map[edgeKey]float64)}
 	if m.Obs != nil {
 		e.instr = newEvalInstr(m.Obs)
 	}
@@ -178,35 +115,23 @@ func (e *Evaluator) Evaluate(chip geom.Rect, nets []netlist.TwoPin) *Map {
 	e.prob = resizeFloats(e.prob, cells)
 	e.mp.Prob = e.prob
 
-	// Pre-grow the shared ln-factorial table past any reachable
-	// g1+g2: snapped routing ranges never exceed the chip extent.
-	e.lf.Ensure(unitCells(chip.W(), e.m.Pitch) + unitCells(chip.H(), e.m.Pitch) + 4)
-
 	var tAccum time.Time
 	if in != nil {
 		//irlint:allow detsource(obs timing only)
 		tAccum = time.Now()
 		in.axisNs.Add(tAccum.Sub(tStart).Nanoseconds())
 	}
-	shards := shardCount(len(nets))
-	w := e.workerCount(shards, len(nets))
-	e.growPartials(shards)
-	e.failed = e.failed[:0]
 	sp = root.Child("sweep")
-	if w > 1 {
-		e.runParallel(nets, shards, w)
-	} else {
-		e.runSequential(nets, shards)
+	e.ev.out = e.acc
+	ctx := e.m.Ctx
+	for i := range nets {
+		if i%ctxStride == 0 && ctx != nil && ctx.Err() != nil {
+			break
+		}
+		e.ev.addNet(nets[i])
 	}
-	e.retryFailed(nets, shards)
 	sp.End()
 	sp = root.Child("fold")
-	// Reduce the partial grids. Integer sums are order-independent, so
-	// any reduction order is bit-identical for every worker count and
-	// across recovered shard panics; shard order is kept for clarity.
-	for s := 1; s < shards; s++ {
-		addInto(e.acc, e.partials[s-1])
-	}
 	// Convert the exact fixed-point sums to the float64 map the
 	// consumers read. probInv is a power of two, so each cell rounds
 	// exactly once, in the int64→float64 conversion.
@@ -224,8 +149,10 @@ func (e *Evaluator) Evaluate(chip geom.Rect, nets []netlist.TwoPin) *Map {
 		in.nets.Add(int64(len(nets)))
 		in.cols.Set(float64(e.mp.Cols()))
 		in.rows.Set(float64(e.mp.Rows()))
-		in.workersG.Set(float64(w))
-		e.flushWorkerTallies(in)
+		in.memoHit.Add(e.ev.nHit)
+		in.memoMiss.Add(e.ev.nMiss)
+		in.exactLanes.Add(e.ev.nExactLanes)
+		e.ev.nHit, e.ev.nMiss, e.ev.nExactLanes = 0, 0, 0
 	}
 	if rec != nil {
 		//irlint:allow detsource(obs timing only)
@@ -233,17 +160,6 @@ func (e *Evaluator) Evaluate(chip geom.Rect, nets []netlist.TwoPin) *Map {
 		rec.Record(obs.RecorderEvent{Kind: obs.RecEval, Ns: ns})
 	}
 	return &e.mp
-}
-
-// flushWorkerTallies folds the workers' plain memo/lane tallies into
-// the registry counters and resets them.
-func (e *Evaluator) flushWorkerTallies(in *evalInstr) {
-	for _, w := range e.workers {
-		in.memoHit.Add(w.nHit)
-		in.memoMiss.Add(w.nMiss)
-		in.exactLanes.Add(w.nExactLanes)
-		w.nHit, w.nMiss, w.nExactLanes = 0, 0, 0
-	}
 }
 
 // Score evaluates the nets and returns the chip-level congestion cost
@@ -301,282 +217,25 @@ func (e *Evaluator) buildAxes(chip geom.Rect, nets []netlist.TwoPin) {
 	e.mp = Map{Chip: chip, XAxis: xAxis, YAxis: yAxis}
 }
 
-// worker returns the i-th per-worker scratch evaluator, creating it on
-// first use. Worker 0 doubles as the sequential path's evaluator.
-func (e *Evaluator) worker(i int) *evaluator {
-	for len(e.workers) <= i {
-		e.workers = append(e.workers, &evaluator{
-			m:    e.m,
-			lf:   &e.lf,
-			memo: make(map[edgeKey]float64),
-		})
-	}
-	w := e.workers[i]
-	w.mp = &e.mp
-	return w
-}
-
-// shardCount is a pure function of the net count so that the
-// summation tree — and with it the bit pattern of every result — is
-// independent of the worker count.
-func shardCount(n int) int {
-	s := (n + shardGrain - 1) / shardGrain
-	if s < 1 {
-		s = 1
-	}
-	if s > maxShards {
-		s = maxShards
-	}
-	return s
-}
-
-// shardRange returns the half-open net index range of shard s.
-func shardRange(n, shards, s int) (lo, hi int) {
-	return s * n / shards, (s + 1) * n / shards
-}
-
-// workerCount resolves the effective number of worker goroutines.
-func (e *Evaluator) workerCount(shards, nets int) int {
-	if e.degraded || nets < parallelMinNets {
-		return 1
-	}
-	w := e.m.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > shards {
-		w = shards
-	}
-	return w
-}
-
-// shardTarget returns the accumulation grid of shard s: shard 0 folds
-// straight into the result accumulator, later shards into their own
-// partial grid.
-func (e *Evaluator) shardTarget(s int) []int64 {
-	if s == 0 {
-		return e.acc
-	}
-	return e.partials[s-1]
-}
-
-// growPartials sizes the per-shard partial grids for shards 1..shards-1.
-func (e *Evaluator) growPartials(shards int) {
-	for len(e.partials) < shards-1 {
-		e.partials = append(e.partials, nil)
-	}
-	for s := 1; s < shards; s++ {
-		e.partials[s-1] = resizeInt64s(e.partials[s-1], len(e.acc))
-	}
-}
-
-// runSequential executes every shard in order on worker 0, each into
-// its own target grid. The shard structure is kept (rather than one
-// flat loop) so the summation tree matches the parallel path.
-//
-//irlint:hot
-func (e *Evaluator) runSequential(nets []netlist.TwoPin, shards int) {
-	w := e.worker(0)
-	ctx := e.m.Ctx
-	for s := 0; s < shards; s++ {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		e.runShard(w, nets, shards, s)
-	}
-	w.out = nil
-}
-
-// launchSlot is the persistent per-worker launch state of the parallel
-// path. The goroutine body (run) is created once per slot and closes
-// only over the slot itself; per-call parameters are stored in the
-// slot's fields before fan-out. Spawning `go slot.run()` on a stored
-// func value performs no allocation, which keeps the parallel path as
-// allocation-free as the sequential one (TestEvaluatorSteadyStateAllocs
-// gates both).
-type launchSlot struct {
-	e      *Evaluator
-	w      *evaluator
-	busy   *obs.Counter
-	nets   []netlist.TwoPin
-	shards int
-	run    func()
-}
-
-func (sl *launchSlot) main() {
-	e := sl.e
-	defer e.wg.Done()
-	// Gate the timing on whether telemetry is enabled, not on the
-	// counter handle: busy.Add is a nil-safe no-op either way, and
-	// the instr check keeps the clock reads out of untraced runs.
-	if e.instr != nil {
-		//irlint:allow detsource(obs timing only)
-		start := time.Now()
-		//irlint:allow detsource(obs timing only)
-		defer func() { sl.busy.Add(time.Since(start).Nanoseconds()) }()
-	}
-	ctx := e.m.Ctx
-	for {
-		if ctx != nil && ctx.Err() != nil {
-			sl.w.out = nil
-			return
-		}
-		s := int(e.nextShard.Add(1)) - 1
-		if s >= sl.shards {
-			sl.w.out = nil
-			return
-		}
-		e.runShard(sl.w, sl.nets, sl.shards, s)
-	}
-}
-
-// slot returns the persistent launch slot of worker wi.
-func (e *Evaluator) slot(wi int) *launchSlot {
-	for len(e.slots) <= wi {
-		sl := &launchSlot{e: e}
-		sl.run = sl.main
-		e.slots = append(e.slots, sl)
-	}
-	return e.slots[wi]
-}
-
-// runParallel fans the shards out over `workers` goroutines claiming
-// shard indices from an atomic counter. Which worker computes a shard
-// cannot affect the result: per-net values are canonical (the memo
-// caches pure functions), each shard owns its accumulation grid, and
-// integer accumulation is order-independent.
-func (e *Evaluator) runParallel(nets []netlist.TwoPin, shards, workers int) {
-	e.nextShard.Store(0)
-	for wi := 0; wi < workers; wi++ {
-		sl := e.slot(wi)
-		sl.w = e.worker(wi)
-		sl.busy = nil
-		if e.instr != nil {
-			sl.busy = e.instr.workerBusy(wi)
-		}
-		sl.nets, sl.shards = nets, shards
-		e.wg.Add(1)
-		go sl.run()
-	}
-	e.wg.Wait()
-	for _, sl := range e.slots {
-		sl.nets = nil // do not retain the caller's nets past the call
-	}
-}
-
-// runShard computes shard s into its target grid, converting a panic
-// (a worker crash, or an injected fault) into a recorded failure that
-// Evaluate retries sequentially.
-//
-//irlint:hot
-func (e *Evaluator) runShard(w *evaluator, nets []netlist.TwoPin, shards, s int) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.recordPanic(s, r)
-		}
-	}()
-	lo, hi := shardRange(len(nets), shards, s)
-	w.out = e.shardTarget(s)
-	if err := faultinject.Fire(faultinject.EvalShard, s); err != nil {
-		panic(err)
-	}
-	for _, n := range nets[lo:hi] {
-		w.addNet(n)
-	}
-}
-
-// recordPanic books a recovered shard panic and trips the degradation
-// latch once the lifetime count reaches degradeAfter. This is the
-// cold forensic path: the flight recorder gets a shard_panic event
-// and, when armed, dumps a postmortem file — the shard itself is
-// still retried, so the run continues.
-func (e *Evaluator) recordPanic(s int, r any) {
-	e.failMu.Lock()
-	e.failed = append(e.failed, s)
-	e.shardPanics++
-	degradeNow := !e.degraded && e.shardPanics >= degradeAfter
-	if degradeNow {
-		e.degraded = true
-	}
-	e.failMu.Unlock()
-	if in := e.instr; in != nil {
-		in.shardPanics.Inc()
-		if degradeNow {
-			in.degraded.Inc()
-		}
-	}
-	if rec := e.m.Recorder; rec != nil {
-		rec.Record(obs.RecorderEvent{
-			Kind: obs.RecShardPanic,
-			Note: "shard " + strconv.Itoa(s) + ": " + fmt.Sprint(r),
-		})
-		// Dump errors are swallowed: forensics must never turn a
-		// recovered panic into a run failure.
-		rec.Dump(obs.RecShardPanic)
-	}
-}
-
-// retryFailed recomputes the shards whose first attempt panicked: the
-// shard's target grid is zeroed (it may hold a partial accumulation)
-// and recomputed sequentially on worker 0, without recovery — a panic
-// that repeats on the deterministic sequential path is a genuine
-// invariant violation and propagates to the caller. Because each
-// shard's values are pure functions of its nets and the reduction
-// order is fixed, a recovered run is bit-identical to an undisturbed
-// one.
-func (e *Evaluator) retryFailed(nets []netlist.TwoPin, shards int) {
-	if len(e.failed) == 0 {
-		return
-	}
-	if ctx := e.m.Ctx; ctx != nil && ctx.Err() != nil {
-		e.failed = e.failed[:0]
-		return // result will be discarded anyway
-	}
-	w := e.worker(0)
-	for _, s := range e.failed {
-		target := e.shardTarget(s)
-		clear(target)
-		lo, hi := shardRange(len(nets), shards, s)
-		w.out = target
-		for _, n := range nets[lo:hi] {
-			w.addNet(n)
-		}
-	}
-	w.out = nil
-	e.failed = e.failed[:0]
-}
-
-// addInto accumulates src into dst elementwise.
-//
-//irlint:hot
-func addInto(dst, src []int64) {
-	_ = dst[len(src)-1]
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // reconfigure repoints a pooled engine at a new model configuration.
-// The edge-sum memos cache values that depend on the configuration, so
-// they are flushed; the ln-factorial table is configuration-free and
+// The edge-sum memo caches values that depend on the configuration, so
+// it is flushed; the ln-factorial table is configuration-free and
 // survives.
 func (e *Evaluator) reconfigure(m Model) {
 	e.m = m
+	e.ev.m = m
+	clear(e.ev.memo)
 	if m.Obs != nil {
 		e.instr = newEvalInstr(m.Obs)
 	} else {
 		e.instr = nil
-	}
-	for _, w := range e.workers {
-		w.m = m
-		clear(w.memo)
 	}
 }
 
 // evalPool recycles engines across the Model.Evaluate / Model.Score
 // compatibility wrappers, so even callers that never hold an Evaluator
 // reuse the ln-factorial table, the axis and grid arenas and — when
-// the model configuration matches — the warm edge-sum memos.
+// the model configuration matches — the warm edge-sum memo.
 var evalPool sync.Pool
 
 func pooledEvaluator(m Model) *Evaluator {

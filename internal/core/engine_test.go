@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"irgrid/internal/netlist"
 )
 
-// engineChip and engineNets build a fixed ≥500-net synthetic instance
-// large enough to exercise every shard and both evaluation paths
-// (short exact spans and long Simpson spans).
+// engineChip and engineNets build a fixed synthetic instance that
+// exercises both evaluation paths (short exact spans and long Simpson
+// spans).
 func engineChip() geom.Rect { return geom.Rect{X1: 0, Y1: 0, X2: 3000, Y2: 2400} }
 
 func engineNets(n int) []netlist.TwoPin {
@@ -43,33 +44,6 @@ func engineNets(n int) []netlist.TwoPin {
 		nets[i] = netlist.TwoPin{A: a, B: b}
 	}
 	return nets
-}
-
-// TestEvaluateParallelDeterminism is the engine's core guarantee: the
-// probability map must be bit-identical — not merely close — for every
-// Workers setting, because SA acceptance decisions compare scores
-// across moves and any worker-count dependence would make runs
-// irreproducible.
-func TestEvaluateParallelDeterminism(t *testing.T) {
-	chip := engineChip()
-	nets := engineNets(700)
-	if len(nets) < parallelMinNets {
-		t.Fatalf("fixture too small to engage the parallel path: %d nets", len(nets))
-	}
-
-	ref := Model{Pitch: 4, Workers: 1}.Evaluate(chip, nets)
-	for _, workers := range []int{2, 3, 4, 8, 16} {
-		mp := Model{Pitch: 4, Workers: workers}.Evaluate(chip, nets)
-		if len(mp.Prob) != len(ref.Prob) {
-			t.Fatalf("Workers=%d: %d cells, want %d", workers, len(mp.Prob), len(ref.Prob))
-		}
-		for i := range ref.Prob {
-			if mp.Prob[i] != ref.Prob[i] { // bitwise, no tolerance
-				t.Fatalf("Workers=%d: cell %d = %.17g, sequential %.17g (diff %g)",
-					workers, i, mp.Prob[i], ref.Prob[i], mp.Prob[i]-ref.Prob[i])
-			}
-		}
-	}
 }
 
 // TestEvaluatorReuseIsStable holds one Evaluator across repeated calls
@@ -120,52 +94,76 @@ func TestEvaluatorMatchesModelEvaluate(t *testing.T) {
 }
 
 // TestEvaluatorSteadyStateAllocs verifies the arena actually works: a
-// warmed engine must not allocate per Score call — on the sequential
-// path and on the parallel fan-out (persistent launch slots make
-// spawning the worker goroutines allocation-free too).
+// warmed engine must not allocate per Score call.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	chip := engineChip()
-	for _, tc := range []struct {
-		name    string
-		nets    int
-		workers int
-	}{
-		{name: "seq", nets: 200, workers: 1}, // below parallelMinNets
-		{name: "par4", nets: 500, workers: 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nets := engineNets(tc.nets)
-			e := Model{Pitch: 4, Workers: tc.workers}.NewEvaluator()
-			for i := 0; i < 3; i++ { // warm arenas and memos
-				e.Score(chip, nets)
-			}
-			avg := testing.AllocsPerRun(10, func() { e.Score(chip, nets) })
-			if avg > 0.5 {
-				t.Fatalf("steady-state Score allocates %.1f times per call, want 0", avg)
-			}
-		})
-	}
+	t.Run("seq", func(t *testing.T) {
+		nets := engineNets(200)
+		e := Model{Pitch: 4}.NewEvaluator()
+		for i := 0; i < 3; i++ { // warm arenas and memos
+			e.Score(chip, nets)
+		}
+		avg := testing.AllocsPerRun(10, func() { e.Score(chip, nets) })
+		if avg > 0.5 {
+			t.Fatalf("steady-state Score allocates %.1f times per call, want 0", avg)
+		}
+	})
 }
 
-// TestShardRangeCoversAllNets checks the shard partition is exact:
-// contiguous, disjoint and covering [0, n).
-func TestShardRangeCoversAllNets(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 500, 700, 5000} {
-		shards := shardCount(n)
-		if shards < 1 || shards > maxShards {
-			t.Fatalf("n=%d: shardCount=%d out of range", n, shards)
+// countingCtx is a live context that counts how often it is checked.
+type countingCtx struct {
+	context.Context
+	checks int
+}
+
+func (c *countingCtx) Err() error {
+	c.checks++
+	return c.Context.Err()
+}
+
+// TestEvaluatorHonorsContext pins the Model.Ctx contract: a canceled
+// context stops Evaluate before it folds a single net, a live one is
+// checked once every ctxStride nets without changing a bit of the map,
+// and checking it costs a warmed Score no allocation.
+func TestEvaluatorHonorsContext(t *testing.T) {
+	chip := engineChip()
+	nets := engineNets(300)
+	want := Model{Pitch: 4}.NewEvaluator().Evaluate(chip, nets).Clone()
+	if want.Max() == 0 {
+		t.Fatal("fixture evaluates to an all-zero map")
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	got := Model{Pitch: 4, Ctx: canceled}.NewEvaluator().Evaluate(chip, nets)
+	if len(got.Prob) != len(want.Prob) {
+		t.Fatalf("canceled ctx: %d cells, want %d", len(got.Prob), len(want.Prob))
+	}
+	for i, v := range got.Prob {
+		if v != 0 {
+			t.Fatalf("canceled ctx: cell %d = %g, want 0 (no net folded)", i, v)
 		}
-		next := 0
-		for s := 0; s < shards; s++ {
-			lo, hi := shardRange(n, shards, s)
-			if lo != next || hi < lo {
-				t.Fatalf("n=%d shard %d: range [%d,%d), expected lo=%d", n, s, lo, hi, next)
-			}
-			next = hi
+	}
+
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	ctx := &countingCtx{Context: live}
+	e := Model{Pitch: 4, Ctx: ctx}.NewEvaluator()
+	got = e.Evaluate(chip, nets)
+	for i, v := range want.Prob {
+		if got.Prob[i] != v {
+			t.Fatalf("live ctx: cell %d = %.17g, want %.17g", i, got.Prob[i], v)
 		}
-		if next != n {
-			t.Fatalf("n=%d: shards cover [0,%d), want [0,%d)", n, next, n)
-		}
+	}
+	if checks := (len(nets) + ctxStride - 1) / ctxStride; ctx.checks != checks {
+		t.Errorf("live ctx checked %d times over %d nets, want %d", ctx.checks, len(nets), checks)
+	}
+
+	for i := 0; i < 3; i++ {
+		e.Score(chip, nets)
+	}
+	if avg := testing.AllocsPerRun(10, func() { e.Score(chip, nets) }); avg > 0 {
+		t.Fatalf("Score with a live ctx allocates %.1f times per call, want 0", avg)
 	}
 }
 

@@ -9,9 +9,9 @@ package core
 // order-independent, which buys two properties float accumulation
 // cannot offer together:
 //
-//   - any partition of the nets — shards, workers, or the delta
-//     engine's add/remove of individual nets — produces the same
-//     accumulated bits, with no reduction-tree bookkeeping;
+//   - any order or partition of the nets — the full evaluator's one
+//     pass or the delta engine's add/remove of individual nets —
+//     produces the same accumulated bits;
 //   - subtracting a net's stored contribution perfectly inverts having
 //     added it, so the incremental evaluator (delta.go) is bit-identical
 //     to a from-scratch evaluation regardless of the move history.

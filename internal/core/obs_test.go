@@ -9,14 +9,14 @@ import (
 
 // TestEvaluatorMetricsPopulated checks that an instrumented evaluation
 // reports every engine metric: call/net counters, stage timings, grid
-// dimensions, memo traffic, exact-lane counts and per-worker busy time.
+// dimensions, memo traffic and exact-lane counts.
 func TestEvaluatorMetricsPopulated(t *testing.T) {
 	chip := engineChip()
-	nets := engineNets(500) // past parallelMinNets for the worker path
+	nets := engineNets(500)
 	reg := obs.NewRegistry()
 	// ExactSpanLimit 2 pushes most lanes through the Simpson-approx
 	// path so the memo counters see traffic.
-	e := Model{Pitch: 30, Workers: 2, Obs: reg, ExactSpanLimit: 2}.NewEvaluator()
+	e := Model{Pitch: 30, Obs: reg, ExactSpanLimit: 2}.NewEvaluator()
 	e.Score(chip, nets)
 	e.Score(chip, nets) // warm pass: memo hits
 
@@ -27,16 +27,12 @@ func TestEvaluatorMetricsPopulated(t *testing.T) {
 	if got := snap["eval_nets_total"]; got != 1000 {
 		t.Errorf("eval_nets_total = %g, want 1000", got)
 	}
-	if got := snap["eval_workers"]; got != 2 {
-		t.Errorf("eval_workers = %g, want 2", got)
-	}
 	for _, name := range []string{
 		"eval_axis_ns_total", "eval_accumulate_ns_total", "eval_topscore_ns_total",
 		"eval_grid_cols", "eval_grid_rows",
 		"eval_simpson_memo_hits_total", "eval_simpson_memo_misses_total",
 		"eval_exact_lanes_total",
 		"eval_ns_count", "eval_ns_sum",
-		`eval_worker_busy_ns_total{worker="0"}`, `eval_worker_busy_ns_total{worker="1"}`,
 	} {
 		if v, ok := snap[name]; !ok || v <= 0 {
 			t.Errorf("%s = %g (present %v), want > 0", name, v, ok)
@@ -54,7 +50,6 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 	nets := engineNets(400)
 	for _, m := range []Model{
 		{Pitch: 30},
-		{Pitch: 30, Workers: 2},
 		{Pitch: 30, ExactSpanLimit: 2},
 		{Pitch: 30, Exact: true},
 	} {
@@ -63,6 +58,29 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 		traced := m.NewEvaluator().Score(chip, nets)
 		if plain != traced {
 			t.Errorf("%+v: instrumented score %v != plain %v", m, traced, plain)
+		}
+	}
+}
+
+// TestRecorderEvalEvents pins the eval event stream: every Evaluate
+// through a recorder-attached model appends one timed eval event.
+func TestRecorderEvalEvents(t *testing.T) {
+	chip := engineChip()
+	nets := engineNets(64)
+	rec := obs.NewRecorder(8)
+	e := Model{Pitch: 4, Recorder: rec}.NewEvaluator()
+	e.Evaluate(chip, nets)
+	e.Evaluate(chip, nets)
+	evs := rec.Events()
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want 2", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Kind != obs.RecEval {
+			t.Errorf("event %d kind %q", i, ev.Kind)
+		}
+		if ev.Ns <= 0 {
+			t.Errorf("event %d has no duration", i)
 		}
 	}
 }
@@ -91,7 +109,7 @@ func TestPooledEvaluatorPicksUpObserver(t *testing.T) {
 func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 	chip := engineChip()
 	nets := engineNets(200)
-	e := Model{Pitch: 30, Workers: 1}.NewEvaluator()
+	e := Model{Pitch: 30}.NewEvaluator()
 	for i := 0; i < 3; i++ {
 		e.Score(chip, nets)
 	}

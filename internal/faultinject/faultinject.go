@@ -1,8 +1,8 @@
 // Package faultinject is a deterministic fault-injection harness for
 // the fault-tolerance tests: a registered matrix of hook points
-// compiled into the pipeline's recovery paths (evaluation-shard
-// execution, every filesystem primitive of the durable store, job
-// scheduling) that a test can arm with a deterministic failure policy.
+// compiled into the pipeline's recovery paths (checkpoint writes, every
+// filesystem primitive of the durable store, job scheduling) that a
+// test can arm with a deterministic failure policy.
 //
 // The package's contract mirrors internal/obs: zero overhead when
 // disarmed. Every injection point is guarded by a single atomic load
@@ -29,10 +29,6 @@ import (
 type Point string
 
 const (
-	// EvalShard fires at the start of every evaluation shard in
-	// core.Evaluator; detail is the shard index. A hook that panics
-	// simulates a shard worker crash.
-	EvalShard Point = "eval.shard"
 	// CheckpointWrite fires before a checkpoint file write in
 	// internal/ckpt; detail is unused. A hook that returns an error
 	// simulates a checkpoint I/O failure.
@@ -81,7 +77,6 @@ const (
 // Point used with Fire/FirePath/FireRead but absent here is a
 // programming error the faultinject tests catch.
 var registry = map[Point]string{
-	EvalShard:       "evaluation shard start (panic = worker crash)",
 	CheckpointWrite: "checkpoint write in internal/ckpt (error = I/O failure)",
 	FSCreate:        "atomic-envelope temp-file create (error = open failure)",
 	FSWrite:         "atomic-envelope payload write (error = write failure)",
@@ -118,8 +113,8 @@ func Doc(p Point) string { return registry[p] }
 // Hook decides what happens at an injection point: return nil to let
 // the operation proceed, return an error to inject a failure on sites
 // that propagate errors, or panic to simulate a crash on sites that
-// recover panics. Hooks may be called concurrently from evaluation
-// workers and must be race-safe; keep any state in atomics.
+// recover panics. Hooks may be called concurrently from server workers
+// and must be race-safe; keep any state in atomics.
 type Hook func(point Point, detail int) error
 
 // PathHook is a Hook with file/identity context: fs points pass the

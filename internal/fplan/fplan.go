@@ -67,11 +67,6 @@ type Config struct {
 	// Representation selects the floorplan encoding the annealer
 	// searches: ReprSlicing (default, the paper's) or ReprSeqPair.
 	Representation string
-	// Workers is the parallelism of the congestion estimator's
-	// evaluation engine, forwarded to estimators that support it:
-	// 0 uses GOMAXPROCS, 1 forces sequential evaluation. Estimator
-	// results are bit-identical for every setting.
-	Workers int
 	// FullEval disables incremental congestion evaluation. By default,
 	// when the estimator supports the NewMoveScorer hook (the IR-grid
 	// model does), each SA move's congestion is scored by a delta engine
@@ -99,16 +94,15 @@ type Config struct {
 	Spans *obs.Spans
 	// Recorder, when non-nil, is the run's black-box flight recorder:
 	// the annealer feeds it move/temp/checkpoint events, hooked
-	// estimators feed it eval and shard-panic events, and on
-	// cancellation/deadline (or any run error) Run dumps a postmortem
-	// to PostmortemPath.
+	// estimators feed it eval events, and on cancellation/deadline (or
+	// any run error) Run dumps a postmortem to PostmortemPath.
 	Recorder *obs.Recorder
 	// Status, when non-nil, receives the live run-status feed served
 	// by the /debug/run endpoint.
 	Status *obs.Status
 	// PostmortemPath, when set together with Recorder, arms the
-	// recorder: faults (shard panics, cancellation, SIGQUIT handlers
-	// in the CLIs) dump a postmortem JSON file there.
+	// recorder: faults (cancellation, run errors, SIGQUIT handlers in
+	// the CLIs) dump a postmortem JSON file there.
 	PostmortemPath string
 	// CheckpointEvery, together with Checkpoint, writes a resumable
 	// snapshot after every CheckpointEvery completed temperature steps
@@ -197,18 +191,9 @@ func New(c *netlist.Circuit, cfg Config) (*Runner, error) {
 	if cfg.Gamma != 0 && cfg.Estimator == nil {
 		return nil, fmt.Errorf("fplan: Gamma=%g requires an Estimator", cfg.Gamma)
 	}
-	// Forward the Workers knob to estimators that support parallel
-	// evaluation. The interface is structural so fplan needs no
-	// dependency on any concrete estimator package.
-	if cfg.Workers != 0 && cfg.Estimator != nil {
-		if p, ok := cfg.Estimator.(interface{ WithWorkers(int) any }); ok {
-			if est, ok := p.WithWorkers(cfg.Workers).(Estimator); ok {
-				cfg.Estimator = est
-			}
-		}
-	}
-	// Likewise forward the metrics registry to estimators that expose
-	// engine-level instrumentation.
+	// Forward the metrics registry to estimators that expose
+	// engine-level instrumentation. The interface is structural so
+	// fplan needs no dependency on any concrete estimator package.
 	if cfg.Obs != nil && cfg.Estimator != nil {
 		if p, ok := cfg.Estimator.(interface{ WithObserver(*obs.Registry) any }); ok {
 			if est, ok := p.WithObserver(cfg.Obs).(Estimator); ok {
@@ -240,7 +225,7 @@ func New(c *netlist.Circuit, cfg Config) (*Runner, error) {
 	}
 	// Incremental move scoring: estimators exposing the NewMoveScorer
 	// hook score successive SA states by delta evaluation. Resolved
-	// after the Workers/Obs forwarding so the scorer inherits the final
+	// after the Obs forwarding so the scorer inherits the final
 	// estimator configuration. Scores are bit-identical to full
 	// evaluation, so the opt-out (FullEval) trades only throughput.
 	if !cfg.FullEval && cfg.Gamma != 0 && cfg.Estimator != nil {
@@ -424,8 +409,8 @@ func (s *saState) RejectMove() {
 //
 // The context (nil means background) is checked cooperatively at every
 // proposed move and — for estimators supporting the WithContext hook —
-// at evaluation shard boundaries. On cancellation Run returns the best
-// solution found so far together with anneal.ErrCanceled or
+// every 64 nets inside an evaluation. On cancellation Run returns the
+// best solution found so far together with anneal.ErrCanceled or
 // anneal.ErrDeadline, and writes one final boundary checkpoint when a
 // sink is configured.
 func (r *Runner) Run(ctx context.Context, onTemp func(step int, sol *Solution)) (*Solution, anneal.Stats, error) {
@@ -436,9 +421,9 @@ func (r *Runner) Run(ctx context.Context, onTemp func(step int, sol *Solution)) 
 	if err != nil {
 		panic(err) // validated in New
 	}
-	// Hand a cancelable context to estimators that can bail at shard
-	// boundaries. The wrap is skipped for non-cancelable contexts so
-	// plain runs keep their evaluation pools warm. restoreEstimator
+	// Hand a cancelable context to estimators that can bail out
+	// mid-evaluation. The wrap is skipped for non-cancelable contexts
+	// so plain runs keep their evaluation pools warm. restoreEstimator
 	// swaps the plain estimator back before the final best-solution
 	// resolution: a bailed-out evaluation may carry a partial score, and
 	// the returned best-so-far must be fully evaluated even on cancel.
@@ -472,9 +457,8 @@ func (r *Runner) Run(ctx context.Context, onTemp func(step int, sol *Solution)) 
 		Nets:    len(r.Circuit.Nets),
 		Seed:    r.Cfg.Anneal.Seed,
 		Alpha:   r.Cfg.Alpha, Beta: r.Cfg.Beta, Gamma: r.Cfg.Gamma,
-		Model:   r.estimatorName(),
-		Pitch:   r.Cfg.Pitch,
-		Workers: r.Cfg.Workers,
+		Model: r.estimatorName(),
+		Pitch: r.Cfg.Pitch,
 	})
 	s0 := &saState{r: r, l: init, cost: resolve(init).Cost}
 	cfg := r.Cfg.Anneal

@@ -263,38 +263,6 @@ func TestUnknownRepresentationRejected(t *testing.T) {
 	}
 }
 
-func TestWorkersForwardedToEstimator(t *testing.T) {
-	r, err := New(tinyCircuit(), Config{
-		Weights:   Weights{Alpha: 0.4, Beta: 0.2, Gamma: 0.4},
-		Estimator: core.Model{Pitch: 30},
-		Pitch:     30, AllowRotate: true, Anneal: quickAnneal(1),
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := r.Cfg.Estimator.(core.Model)
-	if !ok {
-		t.Fatalf("estimator type changed: %T", r.Cfg.Estimator)
-	}
-	if m.Workers != 3 {
-		t.Fatalf("Workers = %d, want 3", m.Workers)
-	}
-	// Estimators without the hook pass through untouched.
-	r2, err := New(tinyCircuit(), Config{
-		Weights:   Weights{Alpha: 0.4, Beta: 0.2, Gamma: 0.4},
-		Estimator: grid.Model{Pitch: 30},
-		Pitch:     30, AllowRotate: true, Anneal: quickAnneal(1),
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r2.Cfg.Estimator.(grid.Model); !ok {
-		t.Fatalf("fixed-grid estimator type changed: %T", r2.Cfg.Estimator)
-	}
-}
-
 // TestIncrementalMatchesFullEval is the pipeline-level bit-identity
 // guarantee of the delta evaluation engine: the same seeded run with
 // incremental scoring (the default) and with FullEval must produce

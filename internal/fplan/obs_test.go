@@ -195,9 +195,9 @@ func TestPositiveFallback(t *testing.T) {
 	}
 }
 
-// TestObserverForwardedToEstimator mirrors the Workers hook test: a
-// registry on the Config must reach estimators that support the
-// WithObserver hook and leave others untouched.
+// TestObserverForwardedToEstimator: a registry on the Config must
+// reach estimators that support the WithObserver hook and leave others
+// untouched.
 func TestObserverForwardedToEstimator(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, err := New(tinyCircuit(), Config{

@@ -7,9 +7,7 @@ package nmath
 // Growing the table with Ensure is not safe concurrently with any
 // other method. Once grown, the table is read-only: any number of
 // goroutines may call Ensure (with covered arguments) and LogChoose
-// concurrently — the evaluation engine relies on this by pre-growing
-// one shared table past every reachable argument before fanning out
-// its workers.
+// concurrently.
 type LogFact struct {
 	tab []float64 // tab[n] = ln(n!)
 }

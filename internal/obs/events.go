@@ -48,7 +48,6 @@ type RunStartEvent struct {
 	Gamma   float64 `json:"gamma"`
 	Model   string  `json:"model,omitempty"` // congestion estimator name
 	Pitch   float64 `json:"pitch,omitempty"`
-	Workers int     `json:"workers,omitempty"`
 }
 
 // CalibrationEvent summarizes the initial-temperature calibration.
@@ -129,12 +128,11 @@ type TraceRecord struct {
 	Nets    int    `json:"nets"`
 	Seed    int64  `json:"seed"`
 
-	Alpha   float64 `json:"alpha"`
-	Beta    float64 `json:"beta"`
-	Gamma   float64 `json:"gamma"`
-	Model   string  `json:"model"`
-	Pitch   float64 `json:"pitch"`
-	Workers int     `json:"workers"`
+	Alpha float64 `json:"alpha"`
+	Beta  float64 `json:"beta"`
+	Gamma float64 `json:"gamma"`
+	Model string  `json:"model"`
+	Pitch float64 `json:"pitch"`
 
 	Step       int     `json:"step"`
 	Temp       float64 `json:"temp"`

@@ -36,8 +36,8 @@ type PostmortemInfo struct {
 // recent ring events oldest-first.
 type Postmortem struct {
 	Info PostmortemInfo `json:"info"`
-	// Reason is why the dump was taken: "shard_panic", "canceled",
-	// "deadline", "sigquit", ...
+	// Reason is why the dump was taken: "canceled", "deadline",
+	// "sigquit", "job_panic", ...
 	Reason string `json:"reason"`
 	// UnixNs is the dump capture time.
 	UnixNs int64 `json:"unix_ns"`
@@ -58,9 +58,9 @@ type Postmortem struct {
 // Dump writes a postmortem file for the given reason and returns its
 // path. It is a no-op returning ("", nil) when the recorder is nil or
 // was never armed with a destination, so fault paths can call it
-// unconditionally. Dump may be called more than once (e.g. a shard
-// panic followed by cancellation); each call rewrites the file
-// atomically with the then-current state.
+// unconditionally. Dump may be called more than once (e.g. a stall
+// followed by cancellation); each call rewrites the file atomically
+// with the then-current state.
 func (r *Recorder) Dump(reason string) (string, error) {
 	if r == nil {
 		return "", nil

@@ -75,9 +75,9 @@ func TestRecorderPostmortemRoundtrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Record(RecorderEvent{Kind: RecMove, Step: i, Cost: float64(100 - i)})
 	}
-	r.Record(RecorderEvent{Kind: RecShardPanic, Note: "shard 2: boom"})
+	r.Record(RecorderEvent{Kind: RecCheckpoint, Note: "disk full"})
 
-	path, err := r.Dump("shard_panic")
+	path, err := r.Dump("canceled")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestRecorderPostmortemRoundtrip(t *testing.T) {
 	if pm.Info != info {
 		t.Errorf("info %+v, want %+v", pm.Info, info)
 	}
-	if pm.Reason != "shard_panic" {
+	if pm.Reason != "canceled" {
 		t.Errorf("reason %q", pm.Reason)
 	}
 	if pm.TotalEvents != 4 || len(pm.Events) != 4 {
 		t.Errorf("events %d (total %d), want 4", len(pm.Events), pm.TotalEvents)
 	}
-	if pm.Events[3].Kind != RecShardPanic || pm.Events[3].Note != "shard 2: boom" {
+	if pm.Events[3].Kind != RecCheckpoint || pm.Events[3].Note != "disk full" {
 		t.Errorf("last event %+v", pm.Events[3])
 	}
 	if pm.Metrics["anneal_moves_total"] != 99 {

@@ -138,7 +138,7 @@ func (h *Histogram) Sum() float64 {
 //
 // Metric names follow Prometheus conventions (snake_case, counters
 // ending in _total); a name may carry a label suffix in exposition
-// syntax, e.g. `eval_worker_busy_ns_total{worker="0"}` — series
+// syntax, e.g. `busy_ns_total{worker="0"}` — series
 // sharing a base name are grouped under one TYPE line on export.
 type Registry struct {
 	mu        sync.Mutex

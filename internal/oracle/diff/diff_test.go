@@ -33,10 +33,9 @@ func TestDifferentialRandomCircuits(t *testing.T) {
 		rp.MaxExactErr, rp.MaxApproxErr, rp.MaxScoreErr)
 }
 
-// TestDifferentialParallelLargeCircuits drives circuits big enough
-// (≥256 nets) to actually take the engine's sharded parallel path, and
-// demands bit-identical maps across worker counts.
-func TestDifferentialParallelLargeCircuits(t *testing.T) {
+// TestDifferentialLargeCircuits drives circuits of 300–600 nets, where
+// many nets overlap every IR-grid, through the harness.
+func TestDifferentialLargeCircuits(t *testing.T) {
 	n := 12
 	if testing.Short() {
 		n = 3
@@ -46,10 +45,7 @@ func TestDifferentialParallelLargeCircuits(t *testing.T) {
 		pitch := 30.0
 		chip := RandomChip(rng, pitch)
 		nets := RandomNets(rng, chip, 300+rng.Intn(300), pitch)
-		r, err := Compare(chip, nets, Opts{
-			Model:   core.Model{Pitch: pitch},
-			Workers: []int{1, 2, 4, 16},
-		})
+		r, err := Compare(chip, nets, Opts{Model: core.Model{Pitch: pitch}})
 		if err != nil {
 			t.Fatalf("circuit %d (%d nets, %dx%d grid): %v", i, r.Nets, r.Cols, r.Rows, err)
 		}
@@ -174,10 +170,7 @@ func TestDifferentialMCNC(t *testing.T) {
 			}
 			pins := mcncErrPins[name]
 
-			r, err := Compare(chip, nets, Opts{
-				Model:   core.Model{Pitch: BenchPitch(name)},
-				Workers: []int{1, 4},
-			})
+			r, err := Compare(chip, nets, Opts{Model: core.Model{Pitch: BenchPitch(name)}})
 			if err != nil {
 				t.Fatalf("%s (%d nets, %dx%d grid): %v", name, r.Nets, r.Cols, r.Rows, err)
 			}
@@ -189,10 +182,7 @@ func TestDifferentialMCNC(t *testing.T) {
 					name, r.MaxExactErr, pins.exact)
 			}
 
-			fs, err := Compare(chip, nets, Opts{
-				Model:   core.Model{Pitch: BenchPitch(name), ExactSpanLimit: -1},
-				Workers: []int{1, 4},
-			})
+			fs, err := Compare(chip, nets, Opts{Model: core.Model{Pitch: BenchPitch(name), ExactSpanLimit: -1}})
 			if err != nil {
 				t.Fatalf("%s forced Simpson: %v", name, err)
 			}

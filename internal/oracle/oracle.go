@@ -52,7 +52,7 @@ const (
 )
 
 // Config mirrors the semantic knobs of core.Model. It deliberately has
-// no performance knobs (workers, memo caps, Simpson subintervals): the
+// no performance knobs (memo caps, Simpson subintervals): the
 // oracle always evaluates the escape sums exactly.
 type Config struct {
 	// Pitch is the base grid pitch in µm (unit lattice and line-merge

@@ -148,6 +148,7 @@ func TestGoldenHTTP(t *testing.T) {
 	}{
 		{"error_invalid_json", http.MethodPost, "/v1/jobs", []byte(`{not json`)},
 		{"error_unknown_field", http.MethodPost, "/v1/jobs", []byte(`{"benchmark":"apte","bogus":1}`)},
+		{"error_workers_option", http.MethodPost, "/v1/jobs", []byte(`{"benchmark":"apte","options":{"workers":2}}`)},
 		{"error_invalid_options", http.MethodPost, "/v1/jobs", []byte(`{"benchmark":"apte","options":{"alpha":-1}}`)},
 		{"error_two_sources", http.MethodPost, "/v1/jobs", []byte(`{"benchmark":"apte","yal":"MODULE x;"}`)},
 		{"error_not_found", http.MethodGet, "/v1/jobs/j99999999", nil},

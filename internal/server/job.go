@@ -130,7 +130,6 @@ type RunOptions struct {
 	MaxTemps        int     `json:"max_temps,omitempty"`
 	WirelengthModel string  `json:"wirelength_model,omitempty"`
 	Representation  string  `json:"representation,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
 	FullEval        bool    `json:"full_eval,omitempty"`
 	// TimeoutSeconds bounds the job's wall time; on expiry the job
 	// completes with outcome "deadline" and the best result so far.
@@ -241,7 +240,6 @@ func validateRequest(req *JobRequest) (*jobSpec, *Error) {
 		MaxTemps:        o.MaxTemps,
 		WirelengthModel: o.WirelengthModel,
 		Representation:  o.Representation,
-		Workers:         o.Workers,
 		FullEval:        o.FullEval,
 	}
 	if o.Model != "" || o.Gamma != 0 {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"irgrid/floorplan"
+	"irgrid/internal/ckpt"
 	"irgrid/internal/server"
 	"irgrid/internal/server/harness"
 	"irgrid/telemetry"
@@ -190,6 +192,49 @@ func TestShutdownDrainsCheckpointsAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultMatchesDirect(t, got, want)
+}
+
+// TestRecoveredRecordIgnoresWorkersOption pins compatibility with job
+// records that carry the retired per-job "workers" option: submissions
+// reject the field, but a persisted job.json holding it still loads on
+// restart (records decode leniently), and the job runs to a result
+// bit-identical to a direct floorplan.Run.
+func TestRecoveredRecordIgnoresWorkersOption(t *testing.T) {
+	reqJSON, err := json.Marshal(testRequest("apte", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req, opts map[string]json.RawMessage
+	if err := json.Unmarshal(reqJSON, &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(req["options"], &opts); err != nil {
+		t.Fatal(err)
+	}
+	opts["workers"] = json.RawMessage("2")
+	if req["options"], err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
+	const id = "j00000001"
+	stateDir := t.TempDir()
+	dir := filepath.Join(stateDir, "jobs", id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := map[string]any{"id": id, "state": server.StateQueued, "created_unix_ns": 1, "request": req}
+	if err := ckpt.SaveAs(filepath.Join(dir, "job.json"), "irgrid-job", 1, rec); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := harness.StartTestServer(t, func(c *server.Config) { c.StateDir = stateDir })
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	waitState(ctx, t, ts.Client, id, server.StateDone)
+	got, err := ts.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultMatchesDirect(t, got, directReference(t, "apte", 7))
 }
 
 // TestTimeboxedJobReportsBestSoFar pins the per-job timeout: a job

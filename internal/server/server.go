@@ -177,6 +177,12 @@ type Server struct {
 	// admission check uses len(queue)+pending so concurrent submits
 	// cannot oversubscribe the queue during the disk write.
 	pending int
+	// turn is the ID number of the next reservation allowed to enqueue;
+	// turnCond (on s.mu) wakes the submits waiting for it. Submits thus
+	// enqueue in ID order even when their record writes finish out of
+	// order.
+	turn     int
+	turnCond *sync.Cond
 
 	wg sync.WaitGroup
 
@@ -224,6 +230,7 @@ func New(cfg Config) (*Server, error) {
 		nextID:  1,
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.turnCond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
 	s.mSubmitted = s.reg.Counter("server_jobs_submitted_total")
@@ -262,6 +269,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	s.turn = s.nextID
 	s.handler = s.buildHandler()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -533,7 +541,8 @@ func (s *Server) submit(body []byte) (*JobStatus, *Error) {
 		return nil, &Error{Status: http.StatusTooManyRequests, Code: CodeQueueFull,
 			Message: fmt.Sprintf("job queue is full (%d queued)", occupied)}
 	}
-	id := fmt.Sprintf("j%08d", s.nextID)
+	n := s.nextID
+	id := fmt.Sprintf("j%08d", n)
 	s.nextID++
 	dir := filepath.Join(s.jobsDir(), id)
 	j := newJob(id, dir, spec, now)
@@ -556,10 +565,17 @@ func (s *Server) submit(body []byte) (*JobStatus, *Error) {
 		s.persistJob(j)
 	}
 
-	// Phase 2 under s.mu: release the reservation and enqueue. The job
-	// was visible in s.jobs during the write, so it may already have
-	// been canceled — a canceled job must not enter the queue.
+	// Phase 2 under s.mu: wait until every earlier reservation has
+	// passed phase 2, so the queue order is the ID (accept) order, then
+	// release the reservation and enqueue. The job was visible in
+	// s.jobs during the write, so it may already have been canceled —
+	// a canceled job must not enter the queue.
 	s.mu.Lock()
+	for s.turn != n {
+		s.turnCond.Wait()
+	}
+	s.turn++
+	s.turnCond.Broadcast()
 	s.pending--
 	j.mu.Lock()
 	enqueue := j.state == StateQueued
